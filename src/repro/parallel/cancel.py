@@ -11,17 +11,16 @@ their natural batch boundaries.  A set token raises
 :class:`JobCancelled` out of the loop; an absent token costs one
 ``is None`` branch per checkpoint.
 
-The token wraps any event-like object (``threading.Event`` for the
-in-thread execution backend, ``multiprocessing.Event`` for the
-process-pool backend), so the same checkpoints serve both.  Checkpoints
-are *cooperative*: code that never reaches one (a stuck numpy kernel, a
-wedged worker) is covered by the process backend's hard-kill backstop
-(:mod:`repro.service.workers`), not by this module.
+The token wraps an event-like object (``multiprocessing.Event`` for the
+process-pool backend) or, by default, a plain flag (the in-thread
+execution backend, where checkpoints only poll), so the same checkpoints
+serve both.  Checkpoints are *cooperative*: code that never reaches one
+(a stuck numpy kernel, a wedged worker) is covered by the process
+backend's hard-kill backstop (:mod:`repro.service.workers`), not by this
+module.
 """
 
 from __future__ import annotations
-
-import threading
 
 
 class JobCancelled(BaseException):
@@ -39,9 +38,10 @@ class CancelToken:
     long-running computation.
 
     *event* is any object with ``is_set()`` (and, for :meth:`set`,
-    ``set()``): a ``threading.Event`` (the default), a
-    ``multiprocessing.Event`` forwarded into a worker process, or a test
-    double.
+    ``set()``): a ``multiprocessing.Event`` forwarded into a worker
+    process, or a test double.  Without one the token is a plain flag —
+    nothing ever blocks on a token, and a scheduler keeps one per
+    retained job, so it costs a bool instead of a lock and a condition.
 
     *heartbeat* is an optional zero-arg callable invoked on every
     :meth:`check`.  The engine's checkpoints thus double as liveness
@@ -52,21 +52,27 @@ class CancelToken:
     must never raise.
     """
 
-    __slots__ = ("_event", "heartbeat")
+    __slots__ = ("_event", "_flag", "heartbeat")
 
     def __init__(self, event=None, heartbeat=None) -> None:
-        self._event = event if event is not None else threading.Event()
+        self._event = event
+        self._flag = False
         self.heartbeat = heartbeat
 
     def set(self) -> None:
-        self._event.set()
+        if self._event is None:
+            self._flag = True
+        else:
+            self._event.set()
 
     def is_set(self) -> bool:
+        if self._event is None:
+            return self._flag
         return bool(self._event.is_set())
 
     def check(self) -> None:
         """Raise :class:`JobCancelled` if the token has been set."""
         if self.heartbeat is not None:
             self.heartbeat()
-        if self._event.is_set():
+        if self.is_set():
             raise JobCancelled("cancelled at a cooperative checkpoint")

@@ -6,6 +6,7 @@ failure paths are *exercised*, not just written.  This module plants
 named fault sites at the seams where real faults strike::
 
     worker.start        the worker process, before the executor runs
+    worker.handoff      a reused pool worker accepting its next job
     explore.batch       each pending-path drain iteration (Algorithm 1)
     peakpower.segment   each segment/parity pass (Algorithm 2)
     store.read          every artifact-store read
@@ -13,8 +14,9 @@ named fault sites at the seams where real faults strike::
 
 A site is a single cheap call — ``faults.hit("worker.start")`` — that
 does nothing unless the ``REPRO_FAULTS`` environment variable names it.
-Spawn-start worker processes inherit the environment, so one exported
-spec arms the whole service stack, CI included.
+Every job ships the server's current spec to its worker process (see
+:func:`arm`), so one exported spec arms the whole service stack, CI
+included.
 
 Spec grammar (``;``-separated sites)::
 
@@ -36,11 +38,12 @@ Actions:
 
 Triggers (combinable; all must agree for the fault to fire):
 
-``nth=N``         fire only on the Nth hit of this site in this process
+``nth=N``         fire only on the Nth hit of this site in this job
+                  (in this process, outside service workers)
 ``on_attempt=N``  fire only when the ambient job attempt is N (workers
-                  call :func:`set_attempt`; retries get a fresh worker
-                  process, so per-process hit counts cannot distinguish
-                  attempts — this trigger can)
+                  re-arm per job, so hit counts restart with every
+                  attempt and cannot distinguish attempts — this
+                  trigger can)
 ``p=0.25``        fire with probability p per eligible hit, from a
                   dedicated ``random.Random(seed)`` stream (``seed=S``,
                   default 0) so chaos runs replay deterministically
@@ -49,6 +52,7 @@ Examples::
 
     REPRO_FAULTS="worker.start=crash:on_attempt=1"      # retried crash
     REPRO_FAULTS="worker.start=hang:on_attempt=1"       # watchdog prey
+    REPRO_FAULTS="worker.handoff=crash"                 # warm worker dies
     REPRO_FAULTS="explore.batch=delay:ms=200"           # slow-motion job
     REPRO_FAULTS="store.read=raise:p=0.5,seed=7"        # flaky store
 """
@@ -177,10 +181,30 @@ _attempt: int = 1
 
 
 def set_attempt(attempt: int) -> None:
-    """Set the ambient job attempt (worker processes call this on entry)
-    so ``on_attempt=N`` triggers can target a specific retry."""
+    """Set the ambient job attempt (service workers set it per job
+    through :func:`arm`) so ``on_attempt=N`` triggers can target a
+    specific retry."""
     global _attempt
     _attempt = attempt
+
+
+def arm(spec: str, attempt: int) -> None:
+    """Arm *spec* for one job of a reused worker process.
+
+    Exports *spec* (or clears the variable when it is empty) so engine
+    fork children inherit it, builds a fresh plan so hit counters and
+    seeded RNG streams restart, and sets the ambient attempt: ``nth``,
+    ``p``/``seed`` and ``on_attempt`` triggers then fire exactly as
+    they would in a freshly spawned worker.  Raises
+    :class:`FaultSpecError` on a malformed spec.
+    """
+    global _plan
+    if spec:
+        os.environ[FAULTS_ENV] = spec
+    else:
+        os.environ.pop(FAULTS_ENV, None)
+    _plan = _Plan(spec) if spec else None
+    set_attempt(attempt)
 
 
 def active_spec() -> str:

@@ -23,16 +23,17 @@ benchmarks.  This module opens it to uploaded source:
 
 Resource budgets: wall-clock rides the scheduler's existing per-job
 deadline/watchdog primitives (the tenant's ``max_job_seconds`` becomes
-``deadline_s``); memory is capped with ``RLIMIT_AS`` — applied **only**
-inside process-backend workers (a worker context has no ``scheduler``
-attribute), never on scheduler threads where it would cap the whole
-server process.
+``deadline_s``); memory is capped with ``RLIMIT_AS`` for the duration of
+the job — applied **only** inside process-backend workers (a worker
+context has no ``scheduler`` attribute), never on scheduler threads
+where it would cap the whole server process.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
+from contextlib import contextmanager, nullcontext
 
 # NOTE: engine imports (repro.asm, repro.core) happen inside the
 # functions that need them — repro.core.activity imports
@@ -240,21 +241,36 @@ def normalize_upload_params(params: dict) -> dict:
     return canonical
 
 
-def _apply_memory_limit(limit_mb: int) -> None:
-    """Best-effort RLIMIT_AS inside an upload worker process."""
+@contextmanager
+def _memory_limit(limit_mb: int):
+    """Best-effort RLIMIT_AS for one upload job inside a worker process.
+
+    The previous soft limit comes back when the job ends, so a later
+    job of another kind in the same pooled worker runs uncapped."""
     try:
         import resource
     except ImportError:  # non-POSIX host
+        yield
         return
     limit = int(limit_mb) * 1024 * 1024
+    previous = None
     try:
         soft, hard = resource.getrlimit(resource.RLIMIT_AS)
         if hard != resource.RLIM_INFINITY:
             limit = min(limit, hard)
         if soft == resource.RLIM_INFINITY or soft > limit:
             resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+            previous = (soft, hard)
     except (ValueError, OSError):
         pass  # a host refusing the cap must not fail the job
+    try:
+        yield
+    finally:
+        if previous is not None:
+            try:
+                resource.setrlimit(resource.RLIMIT_AS, previous)
+            except (ValueError, OSError):
+                pass
 
 
 def run_upload_job(params: dict, ctx) -> dict:
@@ -285,39 +301,44 @@ def run_upload_job(params: dict, ctx) -> dict:
         return {**cached, "cached": True}
     # memory cap: worker contexts (process backend) lack a .scheduler
     # attribute; scheduler threads must never rlimit the server itself
-    if not hasattr(ctx, "scheduler"):
-        _apply_memory_limit(DEFAULT_MEMORY_LIMIT_MB)
-    ctx.emit("resolve", f"upload {pid}: assemble + analyze ({params['name']})")
-    try:
-        program = assemble(params["source"], params["name"])
-    except AssemblyError as err:
-        raise RuntimeError(f"assembly_error: {err}") from None
-    try:
-        report = analyze(
-            runner.shared_cpu(),
-            program,
-            runner.shared_model(),
-            loop_bound=params.get("loop_bound"),
-            max_cycles=params["max_cycles"],
-            max_segments=params["max_segments"],
-            workers=getattr(ctx, "workers", None),
-            cancel=getattr(ctx, "cancel", None),
+    capped = (
+        nullcontext() if hasattr(ctx, "scheduler")
+        else _memory_limit(DEFAULT_MEMORY_LIMIT_MB)
+    )
+    with capped:
+        ctx.emit(
+            "resolve", f"upload {pid}: assemble + analyze ({params['name']})"
         )
-    except PathExplosionError as err:
-        raise RuntimeError(f"cycle_budget_exceeded: {err}") from None
-    except UnboundedEnergyError as err:
-        raise RuntimeError(f"unbounded_energy: {err}") from None
-    except MemoryError:
-        raise RuntimeError(
-            "memory_limit_exceeded: analysis exceeded the worker's "
-            "memory budget"
-        ) from None
-    payload = {
-        "kind": "upload",
-        "program_id": pid,
-        "name": params["name"],
-        **report.to_payload(),
-    }
-    ctx.emit("publish", f"storing bound under {key}")
-    store.put(key, payload, ttl_s=ttl_s)
+        try:
+            program = assemble(params["source"], params["name"])
+        except AssemblyError as err:
+            raise RuntimeError(f"assembly_error: {err}") from None
+        try:
+            report = analyze(
+                runner.shared_cpu(),
+                program,
+                runner.shared_model(),
+                loop_bound=params.get("loop_bound"),
+                max_cycles=params["max_cycles"],
+                max_segments=params["max_segments"],
+                workers=getattr(ctx, "workers", None),
+                cancel=getattr(ctx, "cancel", None),
+            )
+        except PathExplosionError as err:
+            raise RuntimeError(f"cycle_budget_exceeded: {err}") from None
+        except UnboundedEnergyError as err:
+            raise RuntimeError(f"unbounded_energy: {err}") from None
+        except MemoryError:
+            raise RuntimeError(
+                "memory_limit_exceeded: analysis exceeded the worker's "
+                "memory budget"
+            ) from None
+        payload = {
+            "kind": "upload",
+            "program_id": pid,
+            "name": params["name"],
+            **report.to_payload(),
+        }
+        ctx.emit("publish", f"storing bound under {key}")
+        store.put(key, payload, ttl_s=ttl_s)
     return {**payload, "cached": False}

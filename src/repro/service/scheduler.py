@@ -30,14 +30,15 @@ Two execution backends share the same state machine:
   in-process store counters, and arbitrary (even unpicklable) executor
   callables, which is what the test suite wants.  Cancellation of a
   running job is cooperative-only here.
-* ``backend="process"`` (the default for the HTTP service) runs each
-  job in a **spawn-start worker process**
-  (:class:`repro.service.workers.ProcessBackend`): an engine crash
-  fails one job instead of the server, cancellation has a worker-kill
-  backstop, and the engine's fork-start pools are created from the
-  single-threaded worker instead of this multithreaded process — which
-  retires the Python 3.12+ fork-in-threads hazard this docstring used
-  to have to admit.
+* ``backend="process"`` (the default for the HTTP service) runs jobs
+  in a pool of persistent **spawn-start worker processes**, at most one
+  per slot (:class:`repro.service.workers.ProcessBackend`): an engine
+  crash fails one job instead of the server, cancellation has a
+  worker-kill backstop, and the engine's fork-start pools are created
+  from the single-threaded worker instead of this multithreaded
+  process — which retires the Python 3.12+ fork-in-threads hazard this
+  docstring used to have to admit.  A worker serves job after job until
+  one ends any way but ``done``; retries always get a fresh worker.
 
 Progress events, the jobs × inner-workers core budget, in-flight
 dedupe, and bit-identical results are backend-independent.
@@ -65,9 +66,12 @@ CANCELLED = "cancelled"
 #: states in which a job no longer dedupes and no longer changes
 TERMINAL_STATES = frozenset({DONE, FAILED, CANCELLED})
 
-#: terminal jobs retained for status/result queries before the oldest
-#: are evicted — bounds a long-lived server's memory
-MAX_FINISHED_JOBS = 512
+#: terminal jobs retained for status/result/events queries before the
+#: oldest are evicted — bounds a long-lived server's memory (about 5 KB
+#: per registry-kernel upload, ~25 MB in all) while keeping ~20 s of
+#: history queryable at the ~250 store-hit answers/s a warm worker pool
+#: serves on a 2-core x86_64 host
+MAX_FINISHED_JOBS = 5120
 
 #: default retry budget for retryable failures (worker crashes and
 #: watchdog kills): up to 1 + MAX_RETRIES attempts per job
@@ -165,12 +169,15 @@ def job_signature(kind: str, params: dict, tenant: str | None = None) -> str:
     payload = {"kind": kind, "params": params}
     if tenant is not None:
         payload["tenant"] = tenant
-    return json.dumps(
+    canonical = json.dumps(
         payload,
         sort_keys=True,
         separators=(",", ":"),
         default=str,
     )
+    # a digest, not the JSON itself: an upload's params carry its whole
+    # source, and every retained job keeps its signature
+    return hashlib.blake2b(canonical.encode(), digest_size=16).hexdigest()
 
 
 @dataclass
@@ -200,9 +207,6 @@ class Job:
     created: float = field(default_factory=time.time)
     finished: float | None = None
     events: list[dict] = field(default_factory=list)
-    done_event: threading.Event = field(
-        default_factory=threading.Event, repr=False
-    )
 
     @property
     def finished_ok(self) -> bool:
@@ -273,12 +277,12 @@ class JobScheduler:
     the store-backed benchmark pipeline (see :func:`default_executors`).
 
     *backend* selects where executors run: ``"thread"`` (scheduler
-    threads in this process, the default) or ``"process"`` (one
-    spawn-start worker process per job — crash isolation and a
-    worker-kill cancellation backstop, see
+    threads in this process, the default) or ``"process"`` (a pool of
+    up to *max_concurrent* reused spawn-start worker processes — crash
+    isolation and a worker-kill cancellation backstop, see
     :mod:`repro.service.workers`).  The process backend takes an
     *executor_factory* — a picklable zero-argument callable rebuilding
-    the executor table inside the worker — instead of an *executors*
+    the executor table inside each worker — instead of an *executors*
     dict (whose callables would have to cross the process boundary);
     *kill_grace* is the seconds a cancelled worker gets to reach a
     cooperative checkpoint before its process group is SIGKILLed.
@@ -345,6 +349,7 @@ class JobScheduler:
             )
 
             self._backend_impl = ProcessBackend(
+                self._executor_factory,
                 kill_grace=(
                     kill_grace if kill_grace is not None
                     else DEFAULT_KILL_GRACE_S
@@ -474,7 +479,11 @@ class JobScheduler:
 
     def wait(self, job_id: str, timeout: float | None = None) -> bool:
         """Block until the job reaches a terminal state (or timeout)."""
-        return self.get(job_id).done_event.wait(timeout)
+        job = self.get(job_id)
+        with self._cond:
+            return self._cond.wait_for(
+                lambda: job.state in TERMINAL_STATES, timeout
+            )
 
     def events_since(self, job_id: str, since: int = 0) -> list[dict]:
         """Progress events with sequence numbers >= *since* (the
@@ -523,7 +532,8 @@ class JobScheduler:
 
         Running jobs get their cancel token set so engine checkpoints
         (and, on the process backend, the worker monitors) wind down
-        instead of running to completion unattended."""
+        instead of running to completion unattended; the process
+        backend's idle workers are stopped and joined."""
         with self._cond:
             self._stop = True
             for _, _, job in self._queue:
@@ -541,6 +551,8 @@ class JobScheduler:
         if wait:
             for worker in workers:
                 worker.join(timeout)
+        if self._backend_impl is not None:
+            self._backend_impl.shutdown()
 
     def counts(self) -> dict[str, int]:
         with self._cond:
@@ -613,8 +625,7 @@ class JobScheduler:
                 try:
                     if self._backend_impl is not None:
                         result = self._backend_impl.run(
-                            job, ctx, self._executor_factory,
-                            attempt=job.attempt,
+                            job, ctx, attempt=job.attempt
                         )
                     else:
                         result = self._run_in_thread(job, ctx)
@@ -778,7 +789,7 @@ class JobScheduler:
                 self.on_terminal(job)
             except Exception:
                 pass  # quota bookkeeping must never fail a job transition
-        job.done_event.set()
+        self._cond.notify_all()  # wakes wait() callers
         self._finished_order.append(job.id)
         while len(self._finished_order) > self.max_finished_jobs:
             stale_id = self._finished_order.pop(0)

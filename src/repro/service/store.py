@@ -47,7 +47,7 @@ import re
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -76,7 +76,8 @@ def content_digest(data: bytes) -> str:
 
 @dataclass
 class StoreCounters:
-    """Per-process hit/miss accounting (not persisted)."""
+    """Hit/miss accounting (not persisted): this process's own, plus
+    the deltas service workers ship back with every job."""
 
     hits_disk: int = 0
     hits_memory: int = 0
@@ -87,6 +88,19 @@ class StoreCounters:
     @property
     def hits_total(self) -> int:
         return self.hits_disk + self.hits_memory
+
+    def snapshot(self) -> dict[str, int]:
+        """The raw counters, for :meth:`since`."""
+        return asdict(self)
+
+    def since(self, before: dict[str, int]) -> dict[str, int]:
+        """Counts added after *before* (a :meth:`snapshot`)."""
+        return {name: n - before[name] for name, n in asdict(self).items()}
+
+    def add(self, delta: dict[str, int]) -> None:
+        """Fold in counts made elsewhere (a service worker's job)."""
+        for name, n in delta.items():
+            setattr(self, name, getattr(self, name) + n)
 
     def to_dict(self) -> dict:
         return {

@@ -1,7 +1,7 @@
 """Process-pool job execution: fault isolation + real cancellation.
 
-Each job runs in its own **spawn-start** worker process rather than on a
-scheduler thread inside the server:
+Jobs run in a pool of persistent **spawn-start** worker processes owned
+by the scheduler, rather than on scheduler threads inside the server:
 
 * **Fault isolation** — an engine that segfaults, is OOM-killed, or
   calls ``os._exit`` takes down one worker process; the scheduler maps
@@ -18,19 +18,53 @@ scheduler thread inside the server:
   islands) are then created inside the single-threaded worker, clearing
   the Python 3.12+ hazard the scheduler previously had to live with.
 
+**The pool.**  A worker is spawned lazily, when a job is dispatched and
+no idle worker is waiting; it boots the interpreter, imports the runner
+and builds its executor table once, then takes jobs over its pipe.  At
+most one worker exists per job slot (``max_concurrent``), because a new
+one is only spawned when every existing one is busy.  Once a worker has
+built the CPU netlist, the power model or the native kernel, later jobs
+reuse them, so a store hit costs a pipe handoff instead of a process
+boot.
+
+What is **per job**: the job message (kind, params, attempt, inner
+worker budget, store directory and a snapshot of the server's
+``REPRO_FAULTS``), a fresh fault plan (hit counters and seeded RNG
+streams restart; see :func:`repro.service.faults.arm`), the runner's
+in-memory result cache (dropped after every job, so each job resolves
+through the artifact store exactly as a fresh process would), an upload
+job's ``RLIMIT_AS`` cap (restored when the job ends), and the store
+counter delta shipped back to the server.
+
+When a worker is **retired**: it rejoins the pool only after a
+``done`` message.  Every other outcome — ``failed``, ``cancelled``, a
+crash, a watchdog or deadline kill, or a cancel event that was ever set
+for it, even when the job then finished — retires the worker (joined,
+or its process group SIGKILLed).  A retried attempt therefore always
+runs in a fresh process.  :meth:`ProcessBackend.shutdown` stops and
+joins the idle workers, so none is orphaned and their peak RSS is
+visible to whoever waits on the server.
+
 The worker is **non-daemonic** so it may fork those inner engine pools
 (daemonic processes cannot have children — the jobs × inner-workers
 core budget would silently collapse to serial).  The worker calls
 ``os.setsid()`` on entry, so the backstop ``killpg`` also reaps any
 fork-start grandchildren the engine had in flight.
 
-Protocol over the one-way pipe, worker → monitor::
+Protocol over the pipe, server → worker: one job message per job
+(EOF retires the worker).  Worker → monitor::
 
-    ("event", stage, detail)   progress, forwarded to the job's stream
-    ("hb", None)               heartbeat ping (swallowed, not an event)
-    ("done", result)           executor returned *result* (a JSON dict)
-    ("cancelled", None)        a checkpoint observed the cancel event
-    ("failed", detail)         executor raised; detail is "Type: message"
+    ("event", stage, detail)       progress, forwarded to the job's stream
+    ("hb", None)                   heartbeat ping (swallowed, not an event)
+    ("done", result, counters)     executor returned *result* (a JSON dict)
+    ("cancelled", None, counters)  a checkpoint observed the cancel event
+    ("failed", detail, counters)   executor raised; detail is "Type: message"
+
+*counters* is the job's artifact-store counter delta, merged into the
+server's :class:`repro.service.store.StoreCounters` so
+``/v1/store/stats`` counts hits and writes made in workers.  The first
+message of every job is the ``booted`` event, naming the worker's pid
+and how many jobs it has accepted.
 
 EOF without a terminal message means the worker died; the monitor turns
 that into :class:`WorkerCrashed` (or a cancellation, if one was
@@ -51,22 +85,26 @@ job's own ``deadline_s``) kills an overrunning worker and raises
 unlucky, it was too big for its budget.
 
 Results are bit-identical to the in-thread backend: the worker runs the
-same executors against the same artifact store (``CACHE_DIR`` is shipped
-explicitly — spawn does not inherit parent module-global mutations), and
-cancellation only ever aborts work, it never alters a result.
+same executors against the same artifact store (the store directory is
+shipped with every job — spawn does not inherit parent module-global
+mutations), and cancellation only ever aborts work, it never alters a
+result.
 """
 
 from __future__ import annotations
 
+import atexit
 import os
 import signal
 import threading
 import time
 import traceback
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.parallel.cancel import JobCancelled
 from repro.parallel.pool import spawn_context
+from repro.service import faults
 
 #: seconds a cancelled worker gets to reach a cooperative checkpoint
 #: before the monitor SIGKILLs its process group
@@ -133,7 +171,7 @@ def describe_exit(exitcode: int | None) -> str:
 
 
 class _WorkerContext:
-    """The executor context inside the worker process.
+    """The executor context inside the worker process, for one job.
 
     Mirrors :class:`repro.service.scheduler.JobContext`: ``emit`` ships
     progress up the pipe, ``cancel`` is the shared token the engine's
@@ -189,26 +227,16 @@ class _WorkerContext:
         self.cancel.check()
 
 
-def _worker_main(
-    conn,
-    cancel_event,
-    factory,
-    kind: str,
-    params: dict,
-    workers: int,
-    cache_dir: str | None,
-    attempt: int = 1,
-    heartbeat_every: float = 1.0,
-) -> None:
-    """Worker-process entry: run one job's executor, report, exit.
+def _worker_main(conn, cancel_event, factory, heartbeat_every: float) -> None:
+    """Worker-process entry: build the executor table, then serve jobs
+    from *conn* until EOF or an outcome other than ``done``.
 
     Spawned fresh, so nothing from the server process leaks in except
-    what arrives through the arguments: *factory* rebuilds the executor
-    table (it must be a picklable module-level callable), *cache_dir*
-    re-points the runner's artifact store (spawn inherits the
-    environment but **not** parent module-global mutations like
-    ``runner.CACHE_DIR``).  *attempt* arms per-attempt fault triggers
-    (``REPRO_FAULTS`` rides in on the inherited environment) and
+    what arrives through the arguments and the job messages: *factory*
+    rebuilds the executor table (it must be a picklable module-level
+    callable); each job message names the store directory (spawn
+    inherits the environment but **not** parent module-global mutations
+    like ``runner.CACHE_DIR``), the attempt and the fault spec to arm.
     *heartbeat_every* throttles the checkpoint heartbeat pings.
     """
     try:
@@ -217,54 +245,83 @@ def _worker_main(
         pass
     from repro.bench import runner
     from repro.parallel.cancel import CancelToken
-    from repro.service import faults
 
-    if cache_dir is not None:
+    executors = factory()
+    served = 0
+    while True:
+        try:
+            kind, params, attempt, workers, cache_dir, fault_spec = conn.recv()
+        except (EOFError, OSError):
+            break  # the server retired this worker (or went away)
+        served += 1
+        ctx = _WorkerContext(
+            conn,
+            CancelToken(cancel_event),
+            workers,
+            heartbeat_every=heartbeat_every,
+            attempt=attempt,
+        )
+        # first message of every job: resets the monitor's watchdog
+        # clock, so a fresh worker's slow interpreter/numpy imports are
+        # never mistaken for a hang
+        ctx.emit(
+            "booted",
+            f"worker pid {os.getpid()}, attempt {attempt}, "
+            f"job {served} on this worker",
+        )
         runner.CACHE_DIR = Path(cache_dir)
-    faults.set_attempt(attempt)
-    ctx = _WorkerContext(
-        conn,
-        CancelToken(cancel_event),
-        workers,
-        heartbeat_every=heartbeat_every,
-        attempt=attempt,
-    )
-    # first pipe message: resets the monitor's watchdog clock, so slow
-    # interpreter/numpy imports are never mistaken for a hang
-    ctx.emit("booted", f"worker pid {os.getpid()}, attempt {attempt}")
-    try:
-        faults.hit("worker.start")
-        executors = factory()
-        result = executors[kind](params, ctx)
-    except JobCancelled:
-        message = ("cancelled", None)
-    except BaseException as exc:
-        detail = "".join(
-            traceback.format_exception_only(type(exc), exc)
-        ).strip()
-        message = ("failed", detail)
-    else:
-        message = ("done", result)
-    try:
-        conn.send(message)
-    except (BrokenPipeError, OSError):
-        pass
-    finally:
-        conn.close()
+        counters = runner.artifact_store().counters
+        before = counters.snapshot()
+        try:
+            faults.arm(fault_spec, attempt)
+            if served > 1:
+                faults.hit("worker.handoff")
+            faults.hit("worker.start")
+            result = executors[kind](params, ctx)
+        except JobCancelled:
+            tag, value = "cancelled", None
+        except BaseException as exc:
+            tag = "failed"
+            value = "".join(
+                traceback.format_exception_only(type(exc), exc)
+            ).strip()
+        else:
+            tag, value = "done", result
+        finally:
+            # the store is the cache of record: the next job resolves
+            # through it exactly as a freshly spawned worker would
+            runner._memory_cache.clear()
+        ctx._send((tag, value, counters.since(before)))
+        if tag != "done":
+            break
+    conn.close()
+
+
+@dataclass
+class _Worker:
+    """One pooled worker process and the server's end of its pipe."""
+
+    process: object
+    conn: object
+    cancel_event: object
 
 
 class ProcessBackend:
-    """Runs each job in a spawn-start worker process and monitors it.
+    """Runs jobs in a pool of spawn-start worker processes and monitors
+    them.
 
-    One :meth:`run` call per job, invoked from the scheduler's job
-    thread: it launches the worker, pumps progress events, watches for
-    cancellation/shutdown, and translates the worker's fate into the
-    same exceptions the in-thread backend produces — so the scheduler's
-    state machine is backend-agnostic.
+    One :meth:`run` call per job attempt, invoked from the scheduler's
+    job thread: it takes an idle worker (or spawns one), hands it the
+    job, pumps progress events, watches for cancellation/shutdown, and
+    translates the worker's fate into the same exceptions the in-thread
+    backend produces — so the scheduler's state machine is
+    backend-agnostic.  *factory* is the picklable zero-argument callable
+    each worker calls once to build its executor table.
     """
 
     def __init__(
         self,
+        factory,
         kill_grace: float = DEFAULT_KILL_GRACE_S,
         heartbeat_timeout: float | None = None,
         max_job_seconds: float | None = None,
@@ -279,12 +336,22 @@ class ProcessBackend:
             raise ValueError(
                 f"max_job_seconds must be > 0 or None, got {max_job_seconds}"
             )
+        self.factory = factory
         self.kill_grace = kill_grace
         self.heartbeat_timeout = heartbeat_timeout
         self.max_job_seconds = max_job_seconds
+        self._heartbeat_every = (
+            min(1.0, heartbeat_timeout / 4.0) if heartbeat_timeout else 1.0
+        )
+        # guards the idle list, the flags and counter merges
+        self._lock = threading.Lock()
+        self._idle: list[_Worker] = []
+        self._closed = False
+        self._exit_hook = False
 
-    def run(self, job, ctx, factory, attempt: int = 1):
-        """Execute *job* in a worker process; return its result dict.
+    def run(self, job, ctx, attempt: int = 1):
+        """Execute *job* in a pooled worker process; return its result
+        dict.
 
         Raises :class:`JobCancelled` when the job was cancelled (via a
         cooperative checkpoint or the kill backstop),
@@ -299,38 +366,30 @@ class ProcessBackend:
         deadline_s = getattr(job, "deadline_s", None)
         if deadline_s is None:
             deadline_s = self.max_job_seconds
-        heartbeat_every = (
-            min(1.0, self.heartbeat_timeout / 4.0)
-            if self.heartbeat_timeout
-            else 1.0
-        )
-        mp = spawn_context()
-        cancel_event = mp.Event()
-        recv, send = mp.Pipe(duplex=False)
-        process = mp.Process(
-            target=_worker_main,
-            args=(
-                send, cancel_event, factory, job.kind, job.params,
-                ctx.workers, str(runner.CACHE_DIR), attempt,
-                heartbeat_every,
-            ),
-            name=f"repro-worker-{job.id}-a{attempt}",
-        )
-        process.start()
-        send.close()  # keep one writer so EOF means the worker is gone
+        started = time.monotonic()
+        worker = self._acquire()
+        process = worker.process
+        try:
+            worker.conn.send(
+                (
+                    job.kind, job.params, attempt, ctx.workers,
+                    str(runner.CACHE_DIR), faults.active_spec(),
+                )
+            )
+        except (BrokenPipeError, OSError):
+            pass  # died while idle: the loop below reads EOF, a crash
 
         outcome = None
         kill_deadline = None
         killed = False
         hung = False
         deadline_hit = False
-        started = time.monotonic()
         last_msg = started  # refreshed by every pipe message (events, hb)
         try:
             while outcome is None:
                 now = time.monotonic()
                 if kill_deadline is None and self._cancelling(job, ctx):
-                    cancel_event.set()
+                    worker.cancel_event.set()
                     kill_deadline = now + self.kill_grace
                     ctx.emit(
                         "cancelling",
@@ -368,28 +427,29 @@ class ProcessBackend:
                 ):
                     self._kill(process)
                     killed = True
-                if recv.poll(0.05):
+                if worker.conn.poll(0.05):
                     last_msg = time.monotonic()
-                    got = self._pump(recv, ctx)
+                    got = self._pump(worker.conn, ctx)
                     if got is _EOF:
                         break
                     outcome = got
                 elif not process.is_alive():
                     # dead worker: drain events still in the pipe buffer
-                    while outcome is None and recv.poll():
-                        got = self._pump(recv, ctx)
+                    while outcome is None and worker.conn.poll():
+                        got = self._pump(worker.conn, ctx)
                         if got is _EOF:
                             break
                         outcome = got
                     break
         finally:
-            if process.is_alive() and outcome is None:
-                self._kill(process)
-            process.join(10.0)
-            if process.is_alive():  # pragma: no cover - last resort
-                process.kill()
-                process.join(5.0)
-            recv.close()
+            if (
+                outcome is not None
+                and outcome[0] == "done"
+                and not worker.cancel_event.is_set()
+            ):
+                self._release(worker)
+            else:
+                self._retire(worker, kill=outcome is None)
 
         if outcome is None:
             if self._cancelling(job, ctx):
@@ -418,16 +478,95 @@ class ProcessBackend:
             raise JobCancelled("cancelled at a cooperative checkpoint")
         raise WorkerError(value)
 
+    def shutdown(self) -> None:
+        """Stop taking jobs; stop and join every idle worker.
+
+        Busy workers are retired by the job threads that own them (a
+        stopping scheduler cancels their jobs), and a worker released
+        after this call is retired instead of pooled."""
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        atexit.unregister(self.shutdown)
+        for worker in idle:
+            worker.conn.close()  # EOF: every idle worker exits at once
+        for worker in idle:
+            self._retire(worker)
+
+    # -- pool -----------------------------------------------------------
+
+    def _acquire(self) -> _Worker:
+        """The most recently pooled live worker, else a fresh one."""
+        stale = []
+        worker = None
+        with self._lock:
+            if self._closed:
+                raise JobCancelled("process backend is shut down")
+            while self._idle:
+                candidate = self._idle.pop()
+                # an idle worker sends nothing: readable means EOF
+                if candidate.process.is_alive() and not candidate.conn.poll():
+                    worker = candidate
+                    break
+                stale.append(candidate)
+        for dead in stale:
+            self._retire(dead)
+        return worker if worker is not None else self._spawn()
+
+    def _spawn(self) -> _Worker:
+        mp = spawn_context()
+        cancel_event = mp.Event()
+        conn, child_conn = mp.Pipe()
+        process = mp.Process(
+            target=_worker_main,
+            args=(child_conn, cancel_event, self.factory,
+                  self._heartbeat_every),
+            name="repro-worker",
+        )
+        process.start()
+        child_conn.close()  # keep one worker end so EOF means it is gone
+        with self._lock:
+            if not self._exit_hook:
+                # registered after multiprocessing's own exit hook, which
+                # joins every non-daemonic child, so this one runs first:
+                # an interpreter exiting without shutdown() stops the
+                # idle workers instead of waiting on them forever
+                atexit.register(self.shutdown)
+                self._exit_hook = True
+        return _Worker(process, conn, cancel_event)
+
+    def _release(self, worker: _Worker) -> None:
+        with self._lock:
+            if not self._closed:
+                self._idle.append(worker)
+                return
+        self._retire(worker)
+
+    def _retire(self, worker: _Worker, kill: bool = False) -> None:
+        """Close the worker's pipe (EOF ends its job loop) and join it;
+        SIGKILL its process group first when *kill*, or when it does not
+        exit in time."""
+        process = worker.process
+        if kill and process.is_alive():
+            self._kill(process)
+        worker.conn.close()
+        process.join(10.0)
+        if process.is_alive():  # pragma: no cover - last resort
+            self._kill(process)
+            process.join(5.0)
+
+    # -- monitor helpers -----------------------------------------------
+
     @staticmethod
     def _cancelling(job, ctx) -> bool:
         return job.cancel_requested or ctx.scheduler._stop
 
-    @staticmethod
-    def _pump(recv, ctx):
-        """Read one pipe message; forward events, return terminal ones
-        (``_EOF`` for a broken pipe, ``None`` for a forwarded event)."""
+    def _pump(self, conn, ctx):
+        """Read one pipe message; forward events, merge a terminal
+        message's store counters and return ``(tag, value)`` (``_EOF``
+        for a broken pipe, ``None`` for a forwarded event)."""
         try:
-            message = recv.recv()
+            message = conn.recv()
         except (EOFError, OSError):
             return _EOF
         if message[0] == "hb":
@@ -435,6 +574,10 @@ class ProcessBackend:
         if message[0] == "event":
             ctx.emit(message[1], message[2])
             return None
+        from repro.bench import runner
+
+        with self._lock:
+            runner.artifact_store().counters.add(message[2])
         return (message[0], message[1])
 
     @staticmethod

@@ -5,8 +5,9 @@ Three layers, increasingly end-to-end:
 * unit — :func:`describe_exit` decodes worker exit codes to signal
   names, and the extended ``/healthz`` / client-retry surfaces;
 * scheduler — ``REPRO_FAULTS`` crashes and hangs the worker process on
-  its first attempt, and the retry loop + heartbeat watchdog must
-  recover it (with the attempt trail in the job's events) without
+  its first attempt (or crashes a reused worker as it accepts a job),
+  and the retry loop + heartbeat watchdog must recover it on a fresh
+  worker (with the attempt trail in the job's events) without
   leaking a scheduler slot; wall-clock deadlines must fail jobs
   *permanently* on both backends;
 * subprocess — ``repro serve`` is SIGKILLed mid-job and restarted on
@@ -138,6 +139,43 @@ class TestCrashRetry:
             assert "attempt 2/3" in retry["detail"]
             assert "SIGKILL" in retry["detail"]
             assert job.payload()["attempt"] == 2
+        finally:
+            scheduler.shutdown()
+
+    def test_handoff_crash_on_a_warm_worker_is_retried_fresh(
+        self, monkeypatch
+    ):
+        scheduler = self._scheduler(max_retries=2)
+        try:
+            warm, _ = scheduler.submit("echo", {"x": 1})
+            assert scheduler.wait(warm.id, 60)
+            assert warm.state == DONE
+            # only a reused worker passes the handoff site, so the crash
+            # hits the warm worker and never the retry's fresh one
+            monkeypatch.setenv(FAULTS_ENV, "worker.handoff=crash")
+            job, _ = scheduler.submit("echo", {"x": 2})
+            assert scheduler.wait(job.id, 60)
+            assert job.state == DONE
+            assert job.result == {"echo": {"x": 2}}
+            assert job.attempt == 2
+            [retry] = [e for e in job.events if e["stage"] == "retrying"]
+            assert "SIGKILL" in retry["detail"]
+            booted = [
+                e["detail"] for e in job.events if e["stage"] == "booted"
+            ]
+            [warm_booted] = [
+                e["detail"] for e in warm.events if e["stage"] == "booted"
+            ]
+            pid = re.compile(r"worker pid (\d+)")
+            assert pid.search(booted[0])[1] == pid.search(warm_booted)[1]
+            assert pid.search(booted[1])[1] != pid.search(warm_booted)[1]
+            assert "job 1 on this worker" in booted[1]
+            # no slot leaked: the follow-up runs at slot 1/1
+            monkeypatch.delenv(FAULTS_ENV)
+            good, _ = scheduler.submit("echo", {"x": 3})
+            assert scheduler.wait(good.id, 60)
+            assert good.state == DONE
+            assert scheduler.counts()[RUNNING] == 0
         finally:
             scheduler.shutdown()
 

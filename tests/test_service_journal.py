@@ -166,8 +166,16 @@ class TestRecoverJobs:
                 ),
             ]
         )
+        gate = threading.Event()
+        gate.set()
+
+        def gated_echo(params, ctx):
+            assert gate.wait(30), "gate never reopened"
+            return _echo(params, ctx)
+
         scheduler = JobScheduler(
-            max_concurrent=1, executors={"echo": _echo}, journal=journal
+            max_concurrent=1, executors={"echo": gated_echo},
+            journal=journal,
         )
         try:
             summary = recover_jobs(scheduler, report)
@@ -180,13 +188,17 @@ class TestRecoverJobs:
             assert "recovered" in stages
             assert scheduler.wait(job.id, 10)
             assert job.state == DONE
-            # the id counter seeds past the recovered tail: no collisions
+            # the id counter seeds past the recovered tail: no collisions;
+            # the closed gate holds fresh in its executor, so no terminal
+            # record can land before the replay below reads the journal
+            gate.clear()
             fresh, _ = scheduler.submit("echo", {"x": 2})
             assert int(fresh.id.split("-")[1]) > 7
             # the requeued job re-journaled itself: a second crash right
             # now would still recover it (nothing terminal yet for fresh)
             assert [p.job_id for p in journal.replay().pending] == [fresh.id]
         finally:
+            gate.set()
             scheduler.shutdown()
 
     def test_unknown_kind_is_skipped_not_fatal(self, journal):

@@ -1,10 +1,14 @@
 """Fault isolation, real cancellation, and the service-layer bug sweep.
 
-The process backend runs each job in a spawn-start worker process, so
-these tests exercise the failure modes the in-thread backend could not
-survive: a worker calling ``os._exit`` mid-job, a worker that ignores
-its cancel token (killed by the backstop), and a ``BaseException``
-escaping an executor (must not strand a scheduler slot).  The client
+The process backend runs jobs in a pool of spawn-start worker
+processes, so these tests exercise the failure modes the in-thread
+backend could not survive: a worker calling ``os._exit`` mid-job, a
+worker that ignores its cancel token (killed by the backstop), and a
+``BaseException`` escaping an executor (must not strand a scheduler
+slot).  The pool tests pin when a worker is reused (after ``done``) and
+when it is retired (after anything else), and what each job gets
+afresh in a reused worker: its fault plan, its memory cap, and its
+store-counter delta.  The client
 tests pin the typed errors ``result()`` now raises for failed and
 cancelled jobs, and the checkpoint tests pin that cancel tokens thread
 through the engine's inner loops without perturbing results.
@@ -16,7 +20,9 @@ pytest, and spawn forwards ``sys.path`` to the child).
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import re
 import threading
 import time
 
@@ -72,12 +78,53 @@ def _cooperative_executor(params, ctx):
     return {"cooperative": True}
 
 
+def _checked_echo_executor(params, ctx):
+    ctx.check_cancelled()  # a stale cancel event would trip here
+    return {"echo": dict(params)}
+
+
+def _finish_despite_cancel_executor(params, ctx):
+    # sees the cancel, then finishes ``done`` anyway: the race where a
+    # cancel lands as a job completes
+    deadline = time.monotonic() + 30
+    while not ctx.cancelled() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return {"finished": True}
+
+
+def _rlimit_executor(params, ctx):
+    import resource
+
+    return {"rlimit_as": list(resource.getrlimit(resource.RLIMIT_AS))}
+
+
+def _store_put_executor(params, ctx):
+    from repro.bench import runner
+
+    runner.artifact_store().put(params["key"], {"value": params["value"]})
+    return {"stored": params["key"]}
+
+
+def _store_get_executor(params, ctx):
+    from repro.bench import runner
+
+    return runner.artifact_store().get(params["key"])
+
+
 def _test_executors():
+    from repro.service.gateway import run_upload_job
+
     return {
         "echo": _echo_executor,
         "die": _exit_executor,
         "stubborn": _stubborn_executor,
         "cooperative": _cooperative_executor,
+        "checked": _checked_echo_executor,
+        "finish_despite_cancel": _finish_despite_cancel_executor,
+        "rlimit": _rlimit_executor,
+        "store_put": _store_put_executor,
+        "store_get": _store_get_executor,
+        "upload": run_upload_job,
     }
 
 
@@ -210,6 +257,221 @@ class TestProcessBackend:
         scheduler.cancel(first.id)
         assert scheduler.wait(first.id, 10)
         assert first.state == CANCELLED
+
+
+# ----------------------------------------------------------------------
+# The warm worker pool: reuse after ``done``, retire after anything else
+# ----------------------------------------------------------------------
+
+
+def _booted_pids(job) -> list[int]:
+    """Worker pid of every attempt of *job*, from its ``booted`` events."""
+    return [
+        int(re.search(r"worker pid (\d+)", event["detail"]).group(1))
+        for event in job.events
+        if event["stage"] == "booted"
+    ]
+
+
+def _run(scheduler, kind, params=None, **kwargs):
+    job, _ = scheduler.submit(kind, params or {}, **kwargs)
+    assert scheduler.wait(job.id, 60)
+    return job
+
+
+@pytest.fixture
+def pool_scheduler():
+    schedulers = []
+
+    def make(**kwargs):
+        kwargs.setdefault("max_concurrent", 1)
+        kwargs.setdefault("kill_grace", 1.0)
+        kwargs.setdefault("retry_backoff_s", 0.05)
+        scheduler = JobScheduler(
+            backend="process", executor_factory=_test_executors, **kwargs
+        )
+        schedulers.append(scheduler)
+        return scheduler
+
+    yield make
+    for scheduler in schedulers:
+        scheduler.shutdown()
+
+
+@pytest.fixture
+def faults_env(monkeypatch):
+    """``REPRO_FAULTS``, cleared for the test; returns the name."""
+    from repro.service.faults import FAULTS_ENV
+
+    monkeypatch.delenv(FAULTS_ENV, raising=False)
+    return FAULTS_ENV
+
+
+class TestWorkerPool:
+    def test_sequential_jobs_reuse_one_worker(self, pool_scheduler):
+        scheduler = pool_scheduler()
+        first = _run(scheduler, "echo", {"x": 1})
+        second = _run(scheduler, "echo", {"x": 2})
+        assert first.state == second.state == DONE
+        assert _booted_pids(first) == _booted_pids(second)
+        [booted] = [e for e in second.events if e["stage"] == "booted"]
+        assert "job 2 on this worker" in booted["detail"]
+
+    def test_crashed_job_is_retried_on_a_fresh_worker(self, pool_scheduler):
+        scheduler = pool_scheduler(max_retries=1)
+        warm = _run(scheduler, "echo", {"x": 1})
+        crashed = _run(scheduler, "die")
+        after = _run(scheduler, "echo", {"x": 2})
+        assert crashed.state == FAILED and after.state == DONE
+        pids = _booted_pids(warm) + _booted_pids(crashed) + _booted_pids(after)
+        # the warm worker takes attempt 1; attempt 2 and the next job
+        # each get a process of their own
+        assert pids[1] == pids[0]
+        assert len(set(pids)) == 3
+
+    def test_hung_job_is_retried_on_a_fresh_worker(
+        self, pool_scheduler, monkeypatch, faults_env
+    ):
+        scheduler = pool_scheduler(heartbeat_timeout=2.5, max_retries=1)
+        warm = _run(scheduler, "echo", {"x": 1})
+        monkeypatch.setenv(faults_env, "worker.start=hang:on_attempt=1")
+        hung = _run(scheduler, "echo", {"x": 2})
+        assert hung.state == DONE and hung.attempt == 2
+        assert "hung" in [e["stage"] for e in hung.events]
+        pids = _booted_pids(hung)
+        assert pids[0] == _booted_pids(warm)[0]
+        assert pids[1] != pids[0]
+
+    def test_deadline_killed_job_retires_its_worker(self, pool_scheduler):
+        scheduler = pool_scheduler()
+        warm = _run(scheduler, "echo", {"x": 1})
+        killed = _run(scheduler, "stubborn", deadline_s=1.0)
+        after = _run(scheduler, "echo", {"x": 2})
+        assert killed.state == FAILED and "deadline exceeded" in killed.error
+        assert _booted_pids(killed) == _booted_pids(warm)
+        assert _booted_pids(after)[0] != _booted_pids(warm)[0]
+
+    def test_cancelled_job_retires_its_worker(self, pool_scheduler):
+        scheduler = pool_scheduler()
+        warm = _run(scheduler, "echo", {"x": 1})
+        job, _ = scheduler.submit("cooperative", {})
+        assert _wait_for(
+            lambda: any(e["stage"] == "booted" for e in job.events)
+        )
+        scheduler.cancel(job.id)
+        assert scheduler.wait(job.id, 10)
+        assert job.state == CANCELLED
+        after = _run(scheduler, "echo", {"x": 2})
+        assert _booted_pids(job) == _booted_pids(warm)
+        assert _booted_pids(after)[0] != _booted_pids(warm)[0]
+
+    def test_cancel_landing_as_job_finishes_spares_the_next_job(
+        self, pool_scheduler
+    ):
+        scheduler = pool_scheduler()
+        job, _ = scheduler.submit("finish_despite_cancel", {})
+        assert _wait_for(
+            lambda: any(e["stage"] == "booted" for e in job.events)
+        )
+        scheduler.cancel(job.id)
+        assert scheduler.wait(job.id, 10)
+        assert job.result == {"finished": True}
+        # the worker saw a cancel: it is retired, not handed the next job
+        after = _run(scheduler, "checked", {"x": 1})
+        assert after.state == DONE, after.error
+        assert _booted_pids(after)[0] != _booted_pids(job)[0]
+
+    def test_fault_spec_changes_reach_a_warm_worker(
+        self, pool_scheduler, monkeypatch, faults_env
+    ):
+        scheduler = pool_scheduler()
+        first = _run(scheduler, "echo", {"x": 1})
+        # hit counters restart per job: nth=2 never fires on a site hit
+        # once per job, however many jobs the worker serves
+        monkeypatch.setenv(faults_env, "worker.start=raise:nth=2")
+        second = _run(scheduler, "echo", {"x": 2})
+        third = _run(scheduler, "echo", {"x": 3})
+        monkeypatch.setenv(faults_env, "worker.start=raise")
+        fourth = _run(scheduler, "echo", {"x": 4})
+        monkeypatch.delenv(faults_env)
+        fifth = _run(scheduler, "echo", {"x": 5})
+        assert [j.state for j in (first, second, third)] == [DONE] * 3
+        assert fourth.state == FAILED and "FaultInjected" in fourth.error
+        assert fifth.state == DONE
+        pid = _booted_pids(first)
+        assert _booted_pids(second) == _booted_pids(third) == pid
+        assert _booted_pids(fourth) == pid
+
+    def test_upload_memory_cap_is_lifted_after_the_job(
+        self, pool_scheduler, tmp_path, monkeypatch
+    ):
+        from repro.bench import runner
+        from repro.service.gateway import validate_upload
+
+        monkeypatch.setattr(runner, "CACHE_DIR", tmp_path / "cache")
+        scheduler = pool_scheduler()
+        before = _run(scheduler, "rlimit")
+        upload = _run(
+            scheduler, "upload",
+            validate_upload(
+                {"source": STRAIGHT_SOURCE, "name": "straight"}, 64 * 1024
+            ),
+        )
+        after = _run(scheduler, "rlimit")
+        assert upload.state == DONE, upload.error
+        assert upload.result["cached"] is False
+        assert after.result == before.result
+        assert _booted_pids(before) == _booted_pids(upload)
+        assert _booted_pids(upload) == _booted_pids(after)
+
+    def test_worker_store_counters_reach_the_server(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.bench import runner
+
+        monkeypatch.setattr(runner, "CACHE_DIR", tmp_path / "cache")
+        monkeypatch.setattr(runner, "_store", None)
+        service = AnalysisService(
+            scheduler=JobScheduler(
+                max_concurrent=1,
+                backend="process",
+                executor_factory=_test_executors,
+            )
+        )
+        server = make_server(service, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            client = ServiceClient(
+                f"http://127.0.0.1:{server.server_address[1]}", timeout=30.0
+            )
+            for kind in ("store_put", "store_get", "store_get"):
+                job = client.submit(kind, key="k", value=7)
+                assert client.result(job["job_id"], timeout=60)["state"] == DONE
+            counters = client.store_stats()["counters"]
+            assert counters["writes"] == 1
+            assert counters["hits_total"] == 2
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close()
+            thread.join(timeout=10)
+
+    def test_shutdown_joins_every_worker(self):
+        scheduler = JobScheduler(
+            max_concurrent=2,
+            backend="process",
+            executor_factory=_test_executors,
+        )
+        jobs = [scheduler.submit("echo", {"x": i})[0] for i in range(2)]
+        for job in jobs:
+            assert scheduler.wait(job.id, 60)
+        scheduler.shutdown()
+        workers = [
+            p for p in multiprocessing.active_children()
+            if p.name == "repro-worker"
+        ]
+        assert workers == []
 
 
 # ----------------------------------------------------------------------
@@ -393,15 +655,19 @@ class TestResultPolling:
 # ----------------------------------------------------------------------
 
 
-def _program(body: str, inputs: str = ""):
-    return assemble(
+def _source(body: str, inputs: str = "") -> str:
+    return (
         f".equ WDTCTL, 0x0120\n.org 0xF000\n"
-        f"start: mov #0x5A80, &WDTCTL\n{body}\nend: jmp end\n{inputs}",
-        "t",
+        f"start: mov #0x5A80, &WDTCTL\n{body}\nend: jmp end\n{inputs}"
     )
 
 
-STRAIGHT = _program("mov #5, r4\n add r4, r4")
+def _program(body: str, inputs: str = ""):
+    return assemble(_source(body, inputs), "t")
+
+
+STRAIGHT_SOURCE = _source("mov #5, r4\n add r4, r4")
+STRAIGHT = assemble(STRAIGHT_SOURCE, "t")
 
 
 @pytest.fixture(scope="module")
