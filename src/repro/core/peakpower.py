@@ -15,28 +15,32 @@ need an explicit predecessor row per segment.
 
 Two engines implement the algorithm:
 
-* the **stacked** engine (the default) lays every segment out in one
-  2-D tensor — a context row holding the predecessor values followed by
-  the segment's cycles — so X-assignment covers *all* segments and *all*
-  same-parity cycles in one pass per parity, walked in cache-sized
-  blocks: each :attr:`~repro.power.model.PowerModel.TRACE_CHUNK_ROWS`
-  span of target rows is gathered, X-assigned, and priced before the
-  next (targets of one parity are independent, so blocking never changes
-  a float).  Context rows act as the segment-validity mask: their power
-  values are simply never gathered back.  (The padded
-  ``(n_segments, max_len, n_nets)`` formulation would waste
-  ``max_len/mean_len`` of the tensor on padding; interleaving context
-  rows keeps the stack dense with identical semantics.)
+* the **stacked** engine (the default) works on the packed dual-rail
+  words the explorer recorded (:meth:`~repro.sim.trace.Trace.value_planes`;
+  reference-engine rows are packed in net order).  Each segment's first
+  cycle pairs with its parent's last cycle (a root's with itself), every
+  other cycle with the one before it; the targets of one parity are
+  independent (two rows apart, each touching only itself and its
+  predecessor), so both parities run as whole-tree passes walked in
+  :attr:`~repro.power.model.PowerModel.TRACE_CHUNK_ROWS` blocks: gather
+  the chunk's (prev, cur, active) words, X-assign them with uint64 word
+  logic (:func:`assign_parity_pairs`), and price them with the model's
+  fixed-point pricer (the native kernel's ``repro_price`` when loaded,
+  numpy byte lookups otherwise).  Nothing is unpacked to per-net rows;
+  only the lazily built witness profiles unpack, once, after assignment.
 * the **scalar** engine walks segments one at a time with a per-cycle
-  Python loop — the original reference, retained for differential tests.
+  Python loop over uint8 rows — the original reference, retained for
+  differential tests.
 
-Both produce bit-identical results: same even/odd profiles, same peak
-trace, same per-module breakdowns.
+Both produce bit-identical results — same even/odd profiles, same peak
+trace, same per-module breakdowns — because the pricer sums integer
+energies, which no bit order, chunking or thread count can perturb.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -45,7 +49,7 @@ import numpy as np
 from repro.core.activity import ExecutionTree
 from repro.logic import X
 from repro.service import faults
-from repro.power.model import PowerModel, PowerTrace
+from repro.power.model import PowerModel, PowerTrace, assign_parity_pairs
 from repro.sim.vcd import write_vcd
 
 
@@ -120,8 +124,8 @@ def maximize_parity(
     This is the scalar reference; target cycles are independent of each
     other (targets of one parity are two rows apart, and each touches only
     itself and its predecessor row), which is what lets the stacked engine
-    process every target of every segment in one shot — see
-    :func:`_assign_parity_pairs`.
+    process every target of every segment in one shot on packed words —
+    see :func:`assign_parity_pairs`.
     """
     assigned = values.copy()
     n_cycles = values.shape[0]
@@ -142,41 +146,6 @@ def maximize_parity(
     return assigned
 
 
-def _assign_parity_pairs(
-    stacked: np.ndarray,
-    active: np.ndarray,
-    target_rows: np.ndarray,
-    max_prev: np.ndarray,
-    max_cur: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """X-assign one parity's (predecessor, target) row pairs in bulk.
-
-    Returns the assigned ``(prev, cur)`` pair matrices for
-    ``target_rows - 1`` / ``target_rows``.  Every target touches only
-    itself and its predecessor, and targets of one parity are two rows
-    apart, so all pairs — across all segments — resolve in four masked
-    in-place copies, no per-cycle Python loop.  ``np.copyto`` rather than
-    ``np.where`` chains: the selections are sparse in real traces, and
-    copyto streams the mask once instead of materializing blended
-    intermediates.
-    """
-    cur = stacked[target_rows]
-    prv = stacked[target_rows - 1]
-    act = active[target_rows]
-    cur_x = cur == X
-    prev_x = prv == X
-    both = act & cur_x & prev_x
-    only_cur = act & cur_x & ~prev_x
-    only_prev = act & prev_x & ~cur_x
-    # 1 - v is only selected where v is known 0/1; X lanes wrap harmlessly.
-    np.copyto(cur, 1 - prv, where=only_cur)
-    np.copyto(prv, 1 - cur, where=only_prev)  # only_prev excludes cur_x, so
-    # cur is original there despite the line above (only_cur needs cur_x).
-    np.copyto(cur, np.broadcast_to(max_cur, cur.shape), where=both)
-    np.copyto(prv, np.broadcast_to(max_prev, prv.shape), where=both)
-    return prv, cur
-
-
 def compute_peak_power(
     tree: ExecutionTree,
     model: PowerModel,
@@ -188,12 +157,12 @@ def compute_peak_power(
 ) -> PeakPowerResult:
     """Run Algorithm 2 over an activity-annotated execution tree.
 
-    *engine* selects ``"stacked"`` (vectorized across segments, the
-    default) or ``"scalar"`` (the per-segment reference); both produce
-    bit-identical results.  *workers* threads the stacked engine's
-    transition-energy kernel over row chunks (``None`` honors
-    ``REPRO_WORKERS``); chunk results are bit-stable by design, so the
-    thread count never changes a float.  *cancel* is an optional
+    *engine* selects ``"stacked"`` (packed, vectorized across segments,
+    the default) or ``"scalar"`` (the per-segment uint8 reference); both
+    produce bit-identical results.  *workers* threads the stacked
+    engine's gather/assign/price chunks (``None`` honors
+    ``REPRO_WORKERS``); sums are exact integers, so the thread count
+    never changes a float.  *cancel* is an optional
     :class:`repro.parallel.cancel.CancelToken` checked between segment
     chunks (per parity pass in the stacked engine, per segment in the
     scalar one); a set token aborts with
@@ -221,7 +190,6 @@ def _finish(
     module_mw: dict[str, np.ndarray],
     witness_builder,
     vcd_dir: str | Path | None,
-    witnesses: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> PeakPowerResult:
     """Shared tail of both engines: segment sums, VCDs, result object."""
     segment_energy = np.zeros(len(tree.segments))
@@ -243,11 +211,6 @@ def _finish(
         segment_energy_pj=segment_energy,
         witness_builder=witness_builder,
     )
-    if witnesses is not None:
-        # the engine already assembled the profiles as a byproduct —
-        # pre-seed the cache so a VCD request does not recompute them
-        result._witness_cache = witnesses
-
     if vcd_dir is not None:  # the VCD dump is a witness request
         directory = Path(vcd_dir)
         directory.mkdir(parents=True, exist_ok=True)
@@ -263,68 +226,77 @@ def _finish(
 
 
 # ----------------------------------------------------------------------
-# Stacked engine: all segments, one tensor, one power evaluation per parity.
+# Stacked engine: all segments, packed words, one pass per parity.
 # ----------------------------------------------------------------------
-def _stack_layout(tree: ExecutionTree):
-    """Context-interleaved segment stack shared by pricing and witnesses.
+def _pair_rows(tree: ExecutionTree) -> tuple[np.ndarray, np.ndarray]:
+    """Per flat cycle: the flat row its transition starts from, and its
+    1-based index within its segment.
 
-    Lays every non-empty segment out as [context row, cycle rows...]; the
-    context row carries the predecessor values (the parent's last cycle)
-    so the transition into a segment's first cycle is priced correctly.
-    Returns ``(stacked, stacked_active, stacked_mem, data_rows,
-    local_index)`` where *data_rows* maps flat cycles to stack rows and
-    *local_index* is the 1-based row within each segment.
+    A segment's first cycle transitions from its parent's last cycle (a
+    root's from itself: no predecessor transition), every other cycle
+    from the cycle before it.
     """
-    flat = tree.flat_trace
-    values = flat.values_matrix()
-    active = flat.active_matrix()
-    mem_accesses = flat.mem_accesses()
-    n_cycles = len(flat)
-    n_nets = values.shape[1]
-    live = [s for s in tree.segments if s.n_cycles]
-    total_rows = n_cycles + len(live)
-    stacked = np.empty((total_rows, n_nets), dtype=values.dtype)
-    stacked_active = np.zeros((total_rows, n_nets), dtype=bool)
-    stacked_mem = np.zeros((total_rows, 2))
-    data_rows = np.empty(n_cycles, dtype=np.int64)  # flat cycle -> stack row
-    local_index = np.empty(n_cycles, dtype=np.int64)  # 1-based row in segment
-    row = 0
-    for segment in live:
+    n_cycles = len(tree.flat_trace)
+    sources = np.arange(-1, n_cycles - 1, dtype=np.int64)
+    local_index = np.empty(n_cycles, dtype=np.int64)
+    for segment in tree.segments:
+        if not segment.n_cycles:
+            continue
         sl = tree.segment_slice(segment)
+        local_index[sl] = np.arange(1, segment.n_cycles + 1)
         if segment.parent is None:
-            context = values[sl.start]  # root: no predecessor transition
+            sources[sl.start] = sl.start
         else:
             parent = tree.segments[segment.parent[0]]
-            context = values[parent.flat_start + parent.n_cycles - 1]
-        stacked[row] = context
-        block = slice(row + 1, row + 1 + segment.n_cycles)
-        stacked[block] = values[sl]
-        stacked_active[block] = active[sl]
-        stacked_mem[block] = mem_accesses[sl]
-        data_rows[sl] = np.arange(block.start, block.stop)
-        local_index[sl] = np.arange(1, segment.n_cycles + 1)
-        row += 1 + segment.n_cycles
-    return stacked, stacked_active, stacked_mem, data_rows, local_index
+            sources[sl.start] = parent.flat_start + parent.n_cycles - 1
+    return sources, local_index
+
+
+def _gather_pairs(trace, layout, targets, sources):
+    """Packed (source, target) planes plus the targets' activity words."""
+    return (
+        trace.value_planes(sources, layout),
+        trace.value_planes(targets, layout),
+        trace.active_planes(targets, layout),
+    )
+
+
+def _parities(local_index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Target masks of the two passes: local rows 1,3,5... then 2,4,..."""
+    odd_local = local_index % 2 == 1
+    return odd_local, ~odd_local
 
 
 def _stacked_witnesses(
     tree: ExecutionTree, model: PowerModel
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(even, odd) witness profiles, rebuilt from the tree on demand."""
-    stacked, stacked_active, _mem, data_rows, local_index = _stack_layout(tree)
-    odd_local = local_index % 2 == 1
+    """(even, odd) witness profiles, rebuilt from the tree on demand.
+
+    Each profile is the recorded planes with one parity's assigned pairs
+    scattered back (a first cycle's source is its parent's row, not part
+    of this segment, so only in-segment sources are written), unpacked
+    once at the end.
+    """
+    flat = tree.flat_trace
+    if not len(flat):
+        empty = np.zeros((0, 0), np.uint8)
+        return empty, empty.copy()
+    layout = flat.layout()
+    pricer = model.pricer(layout)
+    sources, local_index = _pair_rows(tree)
+    recorded = flat.value_planes(None, layout)
     profiles: list[np.ndarray] = []
-    for parity_mask in (odd_local, ~odd_local):
-        target_rows = data_rows[parity_mask]
-        new_prv, new_cur = _assign_parity_pairs(
-            stacked, stacked_active, target_rows, model.max_prev, model.max_cur
+    for parity_mask in _parities(local_index):
+        targets = np.flatnonzero(parity_mask)
+        new_prev, new_cur = assign_parity_pairs(
+            *_gather_pairs(flat, layout, targets, sources[targets]),
+            pricer.max_prev, pricer.max_cur,
         )
-        # Unmodified rows + this parity's assigned pairs, gathered back to
-        # the flat layout.
-        assigned = stacked.copy()
-        assigned[target_rows] = new_cur
-        assigned[target_rows - 1] = new_prv
-        profiles.append(assigned[data_rows])
+        assigned = recorded.copy()
+        assigned[targets] = new_cur
+        inner = local_index[targets] > 1
+        assigned[targets[inner] - 1] = new_prev[inner]
+        profiles.append(layout.unpack_trits(assigned[:, 0], assigned[:, 1]))
     odd_full, even_full = profiles
     return even_full, odd_full
 
@@ -340,79 +312,50 @@ def _compute_stacked(
     flat = tree.flat_trace
     n_cycles = len(flat)
     module_names = sorted(model.module_masks) if per_module else []
+    witness_builder = partial(_stacked_witnesses, tree, model)
     if n_cycles == 0:
-        empty = np.zeros((0, 0), np.uint8)
         return _finish(
             tree, model, np.zeros(0),
             {name: np.zeros(0) for name in module_names},
-            lambda: (empty.copy(), empty.copy()), vcd_dir,
+            witness_builder, vcd_dir,
         )
-    stacked, stacked_active, stacked_mem, data_rows, local_index = (
-        _stack_layout(tree)
-    )
+    layout = flat.layout()
+    sources, local_index = _pair_rows(tree)
+    mem_accesses = flat.mem_accesses()
 
-    # One maximization + one power evaluation per parity, walked in
-    # cache-sized blocks.  Parity 1 targets local rows 1,3,5..., parity 0
-    # rows 2,4,...  The peak trace takes cycle c from the profile that
-    # targeted c's parity, so each profile is priced only at its own
-    # target rows — a parity-indexed scatter replaces the per-cycle
-    # choice loop.  Each block gathers, X-assigns, and prices one
-    # TRACE_CHUNK_ROWS span of target rows before moving on
-    # (:meth:`PowerModel.pair_power` pulls the pairs per chunk): every
-    # target touches only itself and its own predecessor row and the
-    # assignment writes only into the gathered copies, so blocks are
-    # independent — the big Viterbi/PI stacks never materialize the
-    # full-parity (targets, n_nets) pair/mask temporaries that made the
-    # sweep bandwidth-bound, and the floats are bit-identical because
-    # the pricing kernel sees the same rows in the same chunk spans.
-    # The full witness profiles are *not* assembled here; the witness
-    # builder recomputes them from the tree if anyone asks.
-    odd_local = local_index % 2 == 1
+    # One X-assignment + pricing pass per parity, walked in chunks that
+    # :meth:`PowerModel.pair_power` pulls: each chunk gathers its target
+    # rows' packed words, assigns them, and prices them before the next,
+    # so no pass holds more than one chunk of planes.  The peak trace
+    # takes cycle c from the profile that targeted c's parity, so each
+    # profile is priced only at its own target rows.
     peak_trace = np.empty(n_cycles)
     module_mw = {name: np.empty(n_cycles) for name in module_names}
-    profiles: list[np.ndarray] = []
-    for parity_mask in (odd_local, ~odd_local):
+    for parity_mask in _parities(local_index):
         if cancel is not None:
             cancel.check()
         faults.hit("peakpower.segment")
-        target_rows = data_rows[parity_mask]
+        targets = np.flatnonzero(parity_mask)
+        from_rows = sources[targets]
 
         def pairs(start: int, stop: int):
-            return _assign_parity_pairs(
-                stacked, stacked_active, target_rows[start:stop],
-                model.max_prev, model.max_cur,
+            return _gather_pairs(
+                flat, layout, targets[start:stop], from_rows[start:stop]
             )
 
         power = model.pair_power(
             pairs,
-            len(target_rows),
-            stacked_mem[target_rows],
+            len(targets),
+            mem_accesses[targets],
             per_module=per_module,
             workers=workers,
+            layout=layout,
         )
         peak_trace[parity_mask] = power.total_mw
         for name in module_names:
             module_mw[name][parity_mask] = power.module_mw[name]
-        if vcd_dir is not None:
-            # a VCD dump will need the witnesses immediately: assemble
-            # them from freshly computed full-parity pairs instead of
-            # re-deriving the whole layout later
-            new_prv, new_cur = _assign_parity_pairs(
-                stacked, stacked_active, target_rows,
-                model.max_prev, model.max_cur,
-            )
-            assigned = stacked.copy()
-            assigned[target_rows] = new_cur
-            assigned[target_rows - 1] = new_prv
-            profiles.append(assigned[data_rows])
-
-    witnesses = None
-    if vcd_dir is not None:
-        odd_full, even_full = profiles
-        witnesses = (even_full, odd_full)
     return _finish(
-        tree, model, peak_trace, module_mw,
-        lambda: _stacked_witnesses(tree, model), vcd_dir, witnesses,
+        tree, model, peak_trace, module_mw, witness_builder, vcd_dir
     )
 
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -114,7 +115,87 @@ class LevelPlan:
     mux_words: int = 0
 
 
-class NetlistProgram:
+class BitLayout:
+    """Where each net sits in packed ``(..., n_words)`` uint64 rows.
+
+    Packed P/N/A planes are only meaningful together with the layout that
+    maps their bits back to nets.  A :class:`NetlistProgram` is the
+    layout of everything the bitplane and native engines record; a
+    :func:`net_order_layout` (bit *i* holds net *i*) packs the uint8 rows
+    of the reference engine, so consumers of packed rows (the power
+    model's pricer, Algorithm 2's X-assignment) need per-bit tables,
+    never a fixed bit order.  Pad bits always read as a known 0 (P=0,
+    N=1) and are never active.
+    """
+
+    def __init__(self, pos_of: np.ndarray, n_bits: int):
+        #: net index -> bit position
+        self.pos_of = pos_of
+        self.n_nets = len(pos_of)
+        self.n_bits = n_bits
+        self.n_words = n_bits // 64
+        #: uint64 mask words with 1s at real-net bit positions (pads and
+        #: the zero bit excluded) — for popcounts over whole planes
+        valid = np.zeros(self.n_bits, dtype=np.uint8)
+        valid[pos_of] = 1
+        self.valid_mask = np.packbits(valid, bitorder="little").view(np.uint64)
+
+    def bit_table(self, per_net: np.ndarray, fill=0) -> np.ndarray:
+        """Scatter a per-net array into per-bit order (pads get *fill*)."""
+        table = np.full(self.n_bits, fill, dtype=per_net.dtype)
+        table[self.pos_of] = per_net
+        return table
+
+    def pack_values(self, values: np.ndarray) -> np.ndarray:
+        """uint8 trit rows -> (..., 2, n_words) P/N planes."""
+        lead = values.shape[:-1]
+        trits = np.zeros(lead + (self.n_bits,), dtype=np.uint8)
+        trits[..., self.pos_of] = values
+        p = np.packbits(trits != 0, axis=-1, bitorder="little")
+        n = np.packbits(trits != 1, axis=-1, bitorder="little")
+        planes = np.stack([p.view(np.uint64), n.view(np.uint64)], axis=-2)
+        # pads (and the zero bit) must read as known 0: P=0, N=1
+        pad_n = ~self.valid_mask
+        planes[..., N_PLANE, :] |= pad_n
+        planes[..., P_PLANE, :] &= self.valid_mask
+        return planes
+
+    def pack_active(self, active: np.ndarray) -> np.ndarray:
+        """bool activity rows -> (..., n_words) A-plane words."""
+        lead = active.shape[:-1]
+        bits = np.zeros(lead + (self.n_bits,), dtype=np.uint8)
+        bits[..., self.pos_of] = active
+        return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
+
+    def unpack_trits(self, p_words: np.ndarray, n_words: np.ndarray) -> np.ndarray:
+        """P/N word rows -> uint8 trit rows in netlist net order."""
+        pu = np.unpackbits(
+            np.ascontiguousarray(p_words).view(np.uint8),
+            axis=-1, bitorder="little",
+        )
+        nu = np.unpackbits(
+            np.ascontiguousarray(n_words).view(np.uint8),
+            axis=-1, bitorder="little",
+        )
+        trits = pu + (pu & nu)  # (0,1)->0, (1,0)->1, (1,1)->2
+        return np.take(trits, self.pos_of, axis=-1)
+
+    def unpack_bits(self, words: np.ndarray) -> np.ndarray:
+        """A-plane (or any mask) word rows -> bool rows in net order."""
+        bits = np.unpackbits(
+            np.ascontiguousarray(words).view(np.uint8),
+            axis=-1, bitorder="little",
+        )
+        return np.take(bits, self.pos_of, axis=-1).astype(bool)
+
+
+@lru_cache(maxsize=None)
+def net_order_layout(n_nets: int) -> BitLayout:
+    """The layout with bit *i* holding net *i* (reference-engine rows)."""
+    return BitLayout(np.arange(n_nets, dtype=np.int64), _pad64(max(n_nets, 1)))
+
+
+class NetlistProgram(BitLayout):
     """A netlist compiled into packed bit positions + a fused schedule.
 
     One program instance is immutable and shared by every
@@ -214,16 +295,8 @@ class NetlistProgram:
             plan.words = cursor // 64 - word0
             self.levels.append(plan)
 
-        self.n_bits = cursor
-        self.n_words = cursor // 64
-        self.pos_of = pos_of
         assert (pos_of >= 0).all(), "every net must receive a bit position"
-
-        #: uint64 mask words with 1s at real-net bit positions (pads and
-        #: the zero bit excluded) — for popcounts over whole planes
-        valid = np.zeros(self.n_bits, dtype=np.uint8)
-        valid[pos_of] = 1
-        self.valid_mask = np.packbits(valid, bitorder="little").view(np.uint64)
+        BitLayout.__init__(self, pos_of, cursor)
 
         #: INPUT-positions mask over the source words (the paper's
         #: "external inputs are active whenever X" rule)
@@ -458,48 +531,3 @@ class NetlistProgram:
             )
         plan.gather_bytes, plan.gather_masks = self._slot_table(slots)
         plan.scratch_words = len(slots) // 64
-
-    # ------------------------------------------------------------------
-    # Pack / unpack between netlist order (uint8 trits) and bit planes
-    # ------------------------------------------------------------------
-    def pack_values(self, values: np.ndarray) -> np.ndarray:
-        """uint8 trit rows -> (..., 2, n_words) P/N planes."""
-        lead = values.shape[:-1]
-        trits = np.zeros(lead + (self.n_bits,), dtype=np.uint8)
-        trits[..., self.pos_of] = values
-        p = np.packbits(trits != 0, axis=-1, bitorder="little")
-        n = np.packbits(trits != 1, axis=-1, bitorder="little")
-        planes = np.stack([p.view(np.uint64), n.view(np.uint64)], axis=-2)
-        # pads (and the zero bit) must read as known 0: P=0, N=1
-        pad_n = ~self.valid_mask
-        planes[..., N_PLANE, :] |= pad_n
-        planes[..., P_PLANE, :] &= self.valid_mask
-        return planes
-
-    def pack_active(self, active: np.ndarray) -> np.ndarray:
-        """bool activity rows -> (..., n_words) A-plane words."""
-        lead = active.shape[:-1]
-        bits = np.zeros(lead + (self.n_bits,), dtype=np.uint8)
-        bits[..., self.pos_of] = active
-        return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
-
-    def unpack_trits(self, p_words: np.ndarray, n_words: np.ndarray) -> np.ndarray:
-        """P/N word rows -> uint8 trit rows in netlist net order."""
-        pu = np.unpackbits(
-            np.ascontiguousarray(p_words).view(np.uint8),
-            axis=-1, bitorder="little",
-        )
-        nu = np.unpackbits(
-            np.ascontiguousarray(n_words).view(np.uint8),
-            axis=-1, bitorder="little",
-        )
-        trits = pu + (pu & nu)  # (0,1)->0, (1,0)->1, (1,1)->2
-        return np.take(trits, self.pos_of, axis=-1)
-
-    def unpack_bits(self, words: np.ndarray) -> np.ndarray:
-        """A-plane (or any mask) word rows -> bool rows in net order."""
-        bits = np.unpackbits(
-            np.ascontiguousarray(words).view(np.uint8),
-            axis=-1, bitorder="little",
-        )
-        return np.take(bits, self.pos_of, axis=-1).astype(bool)

@@ -6,7 +6,7 @@ single result bit:
 * :mod:`repro.parallel.explore` — shards one execution tree's
   pending-path queue across worker processes (Algorithm 1),
 * :mod:`repro.parallel.kernel` — a shared thread pool for chunk-sliced
-  numpy kernels such as the Algorithm 2 transition-energy einsum,
+  kernels such as Algorithm 2's gather/X-assign/price chunks,
 * :mod:`repro.parallel.islands` — island-model scheduling for the GA
   stressmark (N populations across processes, deterministic migration).
 

@@ -1,9 +1,9 @@
-"""Shared thread pool for GIL-releasing numpy kernels.
+"""Shared thread pool for GIL-releasing chunk kernels.
 
-The Algorithm 2 transition-energy kernel reduces independent row chunks
-with ``einsum`` (which drops the GIL for the duration of the reduction),
-and every chunk writes a disjoint row range of preallocated outputs —
-so threading the chunk loop changes wall-clock, never bits.  The pool is
+The power model prices independent row chunks (the native
+``repro_price`` call and numpy's word ops drop the GIL while they run),
+and every chunk writes a disjoint row range of preallocated integer
+sums — so threading the chunk loop changes wall-clock, never bits.  The pool is
 process-global and lazily grown: thread startup is paid once, not per
 trace evaluation.
 """

@@ -19,6 +19,13 @@ rule.  Any leading batch shape flattens to ``rows``, so one call settles
 a scalar machine or a 64-lane batch alike, and both cffi and ctypes
 release the GIL for the duration of the call.
 
+Every kernel also carries ``repro_price`` (:data:`PRICE_C`), a fixed,
+table-driven transition pricer: Algorithm 2's X-assignment plus
+fixed-point pricing of packed row pairs in registers.  It does not
+depend on the netlist, so :func:`loaded_pricer` hands any loaded
+kernel's entry point to :class:`repro.power.model.PowerModel`; with no
+kernel loaded the model prices with numpy, to the same integers.
+
 Build products are cached twice: the ELF bytes live in a content-
 addressed :class:`~repro.service.store.ArtifactStore` under
 ``<cache>/native`` keyed ``nativekernel_<fingerprint>`` (the fingerprint
@@ -55,8 +62,9 @@ from repro.netlist.core import Netlist
 from repro.netlist.program import NetlistProgram
 
 #: bump on any change to :func:`generate_c` or the call ABI — it is part
-#: of the kernel fingerprint, so stale cached objects are never reused
-KERNEL_VERSION = 2
+#: of the kernel fingerprint (as is :data:`PRICE_C`'s text), so stale
+#: cached objects are never reused
+KERNEL_VERSION = 3
 
 #: compilers probed (after ``$CC``) when building the shared object
 _COMPILERS = ("cc", "gcc", "clang")
@@ -81,6 +89,7 @@ def program_fingerprint(program: NetlistProgram) -> str:
     """
     h = hashlib.blake2b(digest_size=8)
     h.update(f"nativekernel-v{KERNEL_VERSION}".encode())
+    h.update(PRICE_C.encode())
     h.update(
         np.array(
             [program.n_words, program.src_words, program.dff_word0,
@@ -328,7 +337,69 @@ def generate_c(program: NetlistProgram) -> str:
         "        settle_row(state + (size_t)r*3*NW, prev + (size_t)r*3*NW);\n"
         "}\n"
     )
+    out.append(PRICE_C)
     return "".join(out)
+
+
+#: The transition pricer behind :class:`repro.power.model.PowerModel`,
+#: appended verbatim to every kernel.  It is table-driven, not generated:
+#: the caller passes the bit layout's per-bit fixed-point energies and
+#: module columns, so one entry point prices rows of any layout.  For
+#: each ``(prev, cur)`` pair of ``(rows, 2, nw)`` P/N planes it visits
+#: only the set bits of ``rise = tog & P_cur`` and ``fall = tog &
+#: ~P_cur`` (``tog`` = either rail differs, masked to priced bits) and
+#: adds their int64 energies into ``out[row][col[bit]]``.  Integer sums
+#: are exact, so results never depend on summation order.  With ``act``
+#: non-NULL (the targets' ``(rows, nw)`` activity words) each word pair
+#: is first X-assigned to its max-power transition in registers —
+#: Algorithm 2's three cases, the same word logic as
+#: :func:`repro.power.model.assign_parity_pairs` — and nothing is
+#: written back.
+PRICE_C = """
+void repro_price(const uint64_t *prev, const uint64_t *cur,
+                 const uint64_t *act, const uint64_t *max_prev,
+                 const uint64_t *max_cur, long rows, long nw,
+                 const uint64_t *priced, const int64_t *q_rise,
+                 const int64_t *q_fall, const int32_t *col, long n_cols,
+                 int64_t *out)
+{
+    for (long r = 0; r < rows; ++r) {
+        const uint64_t *p = prev + (size_t)r*2*nw;
+        const uint64_t *c = cur + (size_t)r*2*nw;
+        const uint64_t *a = act ? act + (size_t)r*nw : NULL;
+        int64_t *o = out + (size_t)r*n_cols;
+        for (long k = 0; k < n_cols; ++k)
+            o[k] = 0;
+        for (long w = 0; w < nw; ++w) {
+            uint64_t pp = p[w], pn = p[nw+w], cp = c[w], cn = c[nw+w];
+            if (a) {
+                uint64_t cx = cp & cn & a[w], px = pp & pn & a[w];
+                uint64_t both = cx & px;
+                uint64_t vc = (both & max_cur[w]) | ((cx ^ both) & pn);
+                uint64_t vp = (both & max_prev[w]) | ((px ^ both) & cn);
+                cp ^= cx & ~vc;
+                cn ^= cx & vc;
+                pp ^= px & ~vp;
+                pn ^= px & vp;
+            }
+            uint64_t tog = ((pp ^ cp) | (pn ^ cn)) & priced[w];
+            uint64_t rise = tog & cp, fall = tog & ~cp;
+            const int32_t *cw = col + w*64;
+            const int64_t *qr = q_rise + w*64, *qf = q_fall + w*64;
+            while (rise) {
+                int b = __builtin_ctzll(rise);
+                o[cw[b]] += qr[b];
+                rise &= rise - 1;
+            }
+            while (fall) {
+                int b = __builtin_ctzll(fall);
+                o[cw[b]] += qf[b];
+                fall &= fall - 1;
+            }
+        }
+    }
+}
+"""
 
 
 # ----------------------------------------------------------------------
@@ -443,11 +514,16 @@ def build_kernel(program: NetlistProgram) -> tuple[Path, float, str]:
 
 
 def _load_so(so_path: Path):
-    """dlopen the kernel; returns ``call(state, prev, rows)``.
+    """dlopen the kernel; returns ``(settle, price)`` callables.
 
-    cffi ABI mode when available (releases the GIL, zero-copy buffer
-    casts); plain ctypes otherwise.  Both paths raise
-    :class:`NativeKernelError` on a load failure.
+    ``settle(state, prev, rows)`` runs ``repro_settle``;
+    ``price(prev, cur, act, max_prev, max_cur, priced, q_rise, q_fall,
+    col, out)`` runs ``repro_price`` over C-contiguous numpy arrays
+    (*act* ``None`` skips the X-assignment, and the max words are then
+    ignored; row and column counts come from the shapes).  cffi ABI mode
+    when available (releases the GIL, zero-copy buffer casts); plain
+    ctypes otherwise.  Both paths raise :class:`NativeKernelError` on a
+    load failure.
     """
     try:
         import cffi
@@ -459,41 +535,85 @@ def _load_so(so_path: Path):
             ffi.cdef(
                 "void repro_settle(uint64_t *state, const uint64_t *prev,"
                 " long rows);"
+                "void repro_price(const uint64_t *prev, const uint64_t *cur,"
+                " const uint64_t *act, const uint64_t *max_prev,"
+                " const uint64_t *max_cur, long rows, long nw,"
+                " const uint64_t *priced,"
+                " const int64_t *q_rise, const int64_t *q_fall,"
+                " const int32_t *col, long n_cols, int64_t *out);"
             )
             lib = ffi.dlopen(str(so_path))
+            lib.repro_price  # resolve now: a stale object lacks it
         except Exception as exc:
             raise NativeKernelError(f"cffi dlopen failed: {exc}")
 
-        def call(state, prev, rows, _lib=lib, _ffi=ffi):
+        def ptr(array, ctype, _ffi=ffi):
+            return _ffi.cast(ctype, _ffi.from_buffer(array))
+
+        def settle(state, prev, rows, _lib=lib):
             _lib.repro_settle(
-                _ffi.cast("uint64_t *", _ffi.from_buffer(state)),
-                _ffi.cast("uint64_t *", _ffi.from_buffer(prev)),
-                rows,
+                ptr(state, "uint64_t *"), ptr(prev, "uint64_t *"), rows
             )
 
-        return call
+        def price(
+            prev, cur, act, max_prev, max_cur, priced, q_rise, q_fall, col,
+            out, _lib=lib, _null=ffi.NULL,
+        ):
+            _lib.repro_price(
+                ptr(prev, "uint64_t *"), ptr(cur, "uint64_t *"),
+                _null if act is None else ptr(act, "uint64_t *"),
+                ptr(max_prev, "uint64_t *"), ptr(max_cur, "uint64_t *"),
+                out.shape[0], priced.shape[0], ptr(priced, "uint64_t *"),
+                ptr(q_rise, "int64_t *"), ptr(q_fall, "int64_t *"),
+                ptr(col, "int32_t *"), out.shape[1], ptr(out, "int64_t *"),
+            )
+
+        return settle, price
     import ctypes
 
     try:
         lib = ctypes.CDLL(str(so_path))
-        fn = lib.repro_settle
+        settle_fn = lib.repro_settle
+        price_fn = lib.repro_price
     except (OSError, AttributeError) as exc:
         raise NativeKernelError(f"ctypes dlopen failed: {exc}")
-    fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long]
-    fn.restype = None
+    settle_fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long]
+    settle_fn.restype = None
+    price_fn.argtypes = (
+        [ctypes.c_void_p] * 5 + [ctypes.c_long] * 2
+        + [ctypes.c_void_p] * 4 + [ctypes.c_long, ctypes.c_void_p]
+    )
+    price_fn.restype = None
 
-    def call(state, prev, rows, _fn=fn):
+    def settle(state, prev, rows, _fn=settle_fn):
         _fn(state.ctypes.data, prev.ctypes.data, rows)
 
-    return call
+    def price(
+        prev, cur, act, max_prev, max_cur, priced, q_rise, q_fall, col, out,
+        _fn=price_fn,
+    ):
+        _fn(
+            prev.ctypes.data, cur.ctypes.data,
+            None if act is None else act.ctypes.data,
+            max_prev.ctypes.data, max_cur.ctypes.data,
+            out.shape[0], priced.shape[0],
+            priced.ctypes.data, q_rise.ctypes.data, q_fall.ctypes.data,
+            col.ctypes.data, out.shape[1], out.ctypes.data,
+        )
+
+    return settle, price
 
 
 class NativeKernel:
-    """A loaded per-netlist settle kernel."""
+    """A loaded per-netlist settle kernel (plus the shared pricer)."""
 
-    def __init__(self, fingerprint: str, call, build_s: float, so_path: Path):
+    def __init__(
+        self, fingerprint: str, call, price, build_s: float, so_path: Path
+    ):
         self.fingerprint = fingerprint
         self.call = call
+        #: ``repro_price`` (see :data:`PRICE_C`)
+        self.price = price
         #: compile seconds actually spent in this process (0.0 on a
         #: cache hit) — surfaced by the perf harness
         self.build_s = build_s
@@ -513,11 +633,25 @@ def kernel_for(program: NetlistProgram) -> NativeKernel:
         kernel = _KERNELS.get(fingerprint)
         if kernel is None:
             so_path, build_s, fingerprint = build_kernel(program)
-            kernel = NativeKernel(
-                fingerprint, _load_so(so_path), build_s, so_path
-            )
+            settle, price = _load_so(so_path)
+            kernel = NativeKernel(fingerprint, settle, price, build_s, so_path)
             _KERNELS[fingerprint] = kernel
         return kernel
+
+
+def loaded_pricer():
+    """``repro_price`` of a kernel already loaded in this process, or
+    ``None``.
+
+    The pricer is netlist-independent, so any loaded kernel serves any
+    power model; pricing never builds or loads one itself — it rides on
+    the kernel the native engine loaded for exploration, and falls back
+    to numpy (same integers, bit for bit) everywhere else.
+    """
+    with _KERNEL_LOCK:
+        for kernel in _KERNELS.values():
+            return kernel.price
+    return None
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,10 @@ Records come in two layouts:
 
 Both layouts expose the same ``values``/``active`` attributes and produce
 bit-identical matrices; consumers never need to know which one they got.
+The power model and Algorithm 2 read neither: they take
+:meth:`Trace.value_planes`/:meth:`Trace.active_planes`, which stack packed
+records as recorded and pack unpacked ones in net order, together with the
+:meth:`Trace.layout` that names the bit order.
 """
 
 from __future__ import annotations
@@ -143,6 +147,49 @@ class Trace:
                 np.stack([r.active_words for r in self.records])
             )
         return np.stack([r.active for r in self.records])
+
+    def layout(self):
+        """The :class:`~repro.netlist.program.BitLayout` of :meth:`value_planes`.
+
+        The recording program when every record carries packed words
+        (bitplane/native traces), else the net-order layout the
+        reference engine's uint8 rows are packed into.
+        """
+        if self.packing is not None and all(
+            r.value_words is not None and r.active_words is not None
+            for r in self.records
+        ):
+            return self.packing
+        from repro.netlist.program import net_order_layout
+
+        return net_order_layout(self.n_nets)
+
+    def _select(self, rows) -> list[CycleRecord]:
+        if rows is None:
+            return self.records
+        records = self.records
+        return [records[i] for i in rows]
+
+    def value_planes(self, rows, layout) -> np.ndarray:
+        """(k, 2, n_words) P/N planes of the records at *rows* (all when
+        ``None``), in *layout*'s bit order (from :meth:`layout`).
+
+        Packed records are stacked as recorded — nothing unpacks — so
+        whole-trace consumers (the power model, Algorithm 2) stay on the
+        words the engine produced.
+        """
+        records = self._select(rows)
+        if layout is self.packing:
+            return np.stack([r.value_words for r in records])
+        return layout.pack_values(np.stack([r.values for r in records]))
+
+    def active_planes(self, rows, layout) -> np.ndarray:
+        """(k, n_words) activity words of the records at *rows* (all when
+        ``None``), in *layout*'s bit order (from :meth:`layout`)."""
+        records = self._select(rows)
+        if layout is self.packing:
+            return np.stack([r.active_words for r in records])
+        return layout.pack_active(np.stack([r.active for r in records]))
 
     def mem_accesses(self) -> np.ndarray:
         """(n_cycles, 2) array of [reads, writes] per cycle."""
